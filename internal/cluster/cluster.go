@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -114,6 +115,7 @@ type expKey string
 // federation state (failure detector, leader belief, replica registry).
 type Node struct {
 	id     int
+	name   string
 	fw     *osgi.Framework
 	kernel *rtos.Kernel
 	drcr   *core.DRCR
@@ -138,6 +140,15 @@ type Node struct {
 	installed map[expKey]descriptor.Port
 	replicas  map[string]int
 	lastGen   map[string]uint64
+	// shmTopics is the sorted, deduplicated SHM topic list of exported,
+	// rebuilt whenever exported changes.
+	shmTopics []string
+
+	// Change gates (federation.go). expEpoch/expGen are the DRCR view
+	// epoch and the cluster placement generation exported was last
+	// diffed at; self is the node's own report, built at self.epoch.
+	expEpoch, expGen uint64
+	self             *report
 
 	nextHB, nextReport, nextSync sim.Time
 }
@@ -146,7 +157,7 @@ type Node struct {
 func (n *Node) ID() int { return n.id }
 
 // Name returns the node's display name ("n3").
-func (n *Node) Name() string { return nodeName(n.id) }
+func (n *Node) Name() string { return n.name }
 
 // DRCR exposes the node's component runtime.
 func (n *Node) DRCR() *core.DRCR { return n.drcr }
@@ -164,15 +175,24 @@ func (n *Node) Leader() int { return n.leader }
 // Plane exposes the node's observability plane.
 func (n *Node) Plane() *obs.Plane { return n.plane }
 
-func nodeName(id int) string { return fmt.Sprintf("n%d", id) }
+func (c *Cluster) nodeName(id int) string { return c.nodes[id].name }
 
-// report is a node's load/degradation summary as its leader sees it.
+// report is a node's load/degradation summary as its leader sees it. A
+// report is read-only once built: the same comps map and names slice
+// are shared by successive reports that carry the same note.
 type report struct {
-	at       sim.Time
 	load     float64
 	admitted int
-	// comps maps component name → admitted service mode (0 = full).
+	// comps maps component name → admitted service mode (0 = full);
+	// names lists its keys sorted.
 	comps map[string]int
+	names []string
+	// note is the wire form of comps ("a=0,b=1", sorted); payload is
+	// the wire form of load and admitted (own reports only).
+	note    string
+	payload []int64
+	// epoch is the DRCR view epoch an own report was built at.
+	epoch uint64
 }
 
 // placement is the catalog entry for one cluster-managed component.
@@ -193,8 +213,10 @@ type Cluster struct {
 	// placements is the deployment catalog: the descriptor and intended
 	// node of every cluster-managed component. Leaders consult and amend
 	// it; under a partition each side amends entries for its own moves
-	// and the post-heal reconciliation enforces it again.
+	// and the post-heal reconciliation enforces it again. placeGen counts
+	// the catalog's key insertions and deletions.
 	placements map[string]*placement
+	placeGen   uint64
 	// cooldown is the last placement action per component.
 	cooldown map[string]sim.Time
 	// partSpans chains each partition's heal span to its cut span.
@@ -239,7 +261,8 @@ func New(cfg Config) (*Cluster, error) {
 			Shards:  cfg.Shards,
 			Seed:    root.Uint64(),
 		})
-		plane := obs.NewPlane(obs.Options{Level: cfg.ObsLevel, Node: nodeName(i)})
+		name := "n" + strconv.Itoa(i)
+		plane := obs.NewPlane(obs.Options{Level: cfg.ObsLevel, Node: name})
 		d, err := core.New(fw, kernel, core.Options{
 			Obs:        plane,
 			ExecJitter: cfg.ExecJitter,
@@ -254,6 +277,7 @@ func New(cfg Config) (*Cluster, error) {
 		d.SetPlanCache(c.planCache)
 		n := &Node{
 			id:        i,
+			name:      name,
 			fw:        fw,
 			kernel:    kernel,
 			drcr:      d,

@@ -5,81 +5,86 @@ package cluster
 // runs inside atBarrier, single-threaded, in node-id order.
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/descriptor"
 	"repro/internal/net"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/rtos/ipc"
 	"repro/internal/sim"
 )
 
-// admittedComps snapshots a node's admitted components (ACTIVE or
-// SUSPENDED — the states whose contracts count) sorted by name.
-func admittedComps(n *Node) []core.Info {
-	infos := n.drcr.Components()
-	out := infos[:0]
-	for _, info := range infos {
-		if info.State == core.Active || info.State == core.Suspended {
-			out = append(out, info)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// localReport builds a node's own load summary.
-func localReport(b sim.Time, n *Node) *report {
-	r := &report{at: b, comps: map[string]int{}}
-	view := n.drcr.GlobalView()
+// viewLoad sums a view's admitted budget.
+func viewLoad(view policy.View) float64 {
+	load := 0.0
 	for _, l := range view.CPULoad {
-		r.load += l
+		load += l
 	}
 	if view.CPULoad == nil {
 		for _, ct := range view.Admitted {
-			r.load += ct.CPUUsage
+			load += ct.CPUUsage
 		}
 	}
-	for _, info := range admittedComps(n) {
-		r.admitted++
-		r.comps[info.Name] = info.Mode
-	}
-	return r
+	return load
 }
 
-// encodeReport renders the component→mode map as "a=0,b=1" (sorted).
-func encodeReport(r *report) string {
-	names := make([]string, 0, len(r.comps))
-	for name := range r.comps {
-		names = append(names, name)
+// localReport returns the node's own load summary. Everything in it is
+// a function of the DRCR's admission view, whose snapshot changes only
+// when the view epoch moves, so the report is rebuilt only then; in
+// between every call returns the same read-only report.
+func (n *Node) localReport() *report {
+	view := n.drcr.GlobalView()
+	if r := n.self; r != nil && r.epoch == view.Epoch && r.load == viewLoad(view) {
+		return r
 	}
-	sort.Strings(names)
+	view, modes := n.drcr.AdmittedModes()
+	r := &report{
+		epoch:    view.Epoch,
+		load:     viewLoad(view),
+		admitted: len(view.Admitted),
+		comps:    make(map[string]int, len(view.Admitted)),
+		names:    make([]string, len(view.Admitted)),
+	}
 	var sb strings.Builder
-	for i, name := range names {
+	for i, ct := range view.Admitted {
+		r.comps[ct.Name] = modes[i]
+		r.names[i] = ct.Name
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		sb.WriteString(name)
+		sb.WriteString(ct.Name)
 		sb.WriteByte('=')
-		sb.WriteString(strconv.Itoa(r.comps[name]))
+		sb.WriteString(strconv.Itoa(modes[i]))
 	}
-	return sb.String()
+	r.note = sb.String()
+	r.payload = []int64{int64(r.load * 1e6), int64(r.admitted)}
+	n.self = r
+	return r
 }
 
-func decodeReport(at sim.Time, m net.Message) *report {
-	r := &report{at: at, comps: map[string]int{}}
+// decodeReport reads a report message. The component table is reused
+// from the sender's previous report when the note did not change.
+func decodeReport(m net.Message, prev *report) *report {
+	r := &report{note: m.Note}
 	if len(m.Payload) >= 2 {
 		r.load = float64(m.Payload[0]) / 1e6
 		r.admitted = int(m.Payload[1])
 	}
+	if prev != nil && prev.note == m.Note {
+		r.comps, r.names = prev.comps, prev.names
+		return r
+	}
+	r.comps = map[string]int{}
 	if m.Note != "" {
 		for _, pair := range strings.Split(m.Note, ",") {
 			if eq := strings.IndexByte(pair, '='); eq > 0 {
 				mode, _ := strconv.Atoi(pair[eq+1:])
 				r.comps[pair[:eq]] = mode
+				r.names = append(r.names, pair[:eq])
 			}
 		}
 	}
@@ -89,34 +94,32 @@ func decodeReport(at sim.Time, m net.Message) *report {
 // stageReport refreshes the node's own summary and, when someone else
 // leads, ships it to them; a leader's own entry never crosses the wire.
 func (c *Cluster) stageReport(b sim.Time, n *Node) {
-	r := localReport(b, n)
+	r := n.localReport()
 	if n.leader == n.id {
 		n.reports[n.id] = r
 		return
 	}
 	c.net.Send(b, net.Message{
 		Src: n.id, Dst: n.leader, Kind: net.Report,
-		Note:    encodeReport(r),
-		Payload: []int64{int64(r.load * 1e6), int64(r.admitted)},
+		Note: r.note, Payload: r.payload,
 	})
 }
 
 // stageProvisions diffs the node's current export set (outports of
-// admitted components) against what peers were last told, and sends
-// provision on/off messages for the delta. Messages carry the port
-// shape, so the receiver can index and replicate without the descriptor.
+// admitted, cluster-managed components) against what peers were last
+// told, and sends provision on/off messages for the delta. Messages
+// carry the port shape, so the receiver can index and replicate without
+// the descriptor. The export set is a function of the admitted set and
+// of the catalog's key set alone, so while the view epoch and the
+// placement generation both stand where the last diff saw them there is
+// nothing to diff.
 func (c *Cluster) stageProvisions(b sim.Time, n *Node) {
-	current := map[expKey]descriptor.Port{}
-	for _, info := range admittedComps(n) {
-		pl := c.placements[info.Name]
-		if pl == nil {
-			continue // not cluster-managed (node-local deployment)
-		}
-		origin := info.Name + "@" + n.Name()
-		for _, out := range pl.desc.OutPorts {
-			current[expKey(out.Name+"|"+origin)] = out
-		}
+	view := n.drcr.GlobalView()
+	if view.Epoch == n.expEpoch && c.placeGen == n.expGen {
+		return
 	}
+	n.expEpoch, n.expGen = view.Epoch, c.placeGen
+	current := c.exportSet(n, view)
 	var added, removed []expKey
 	for key := range current {
 		if _, ok := n.exported[key]; !ok {
@@ -139,6 +142,37 @@ func (c *Cluster) stageProvisions(b sim.Time, n *Node) {
 		delete(n.exported, key)
 		c.broadcastProvision(b, n, key, port, false)
 	}
+	n.shmTopics = shmTopics(n.exported)
+}
+
+// exportSet is the set of provisions a node with the given admission
+// view exports: every outport of its admitted, cluster-managed
+// components.
+func (c *Cluster) exportSet(n *Node, view policy.View) map[expKey]descriptor.Port {
+	set := map[expKey]descriptor.Port{}
+	for _, ct := range view.Admitted {
+		pl := c.placements[ct.Name]
+		if pl == nil {
+			continue // not cluster-managed (node-local deployment)
+		}
+		origin := ct.Name + "@" + n.name
+		for _, out := range pl.desc.OutPorts {
+			set[expKey(out.Name+"|"+origin)] = out
+		}
+	}
+	return set
+}
+
+// shmTopics lists the distinct SHM topics of an export set, sorted.
+func shmTopics(exported map[expKey]descriptor.Port) []string {
+	var names []string
+	for key, port := range exported {
+		if topic, _, ok := strings.Cut(string(key), "|"); ok && port.Interface == descriptor.SHM {
+			names = append(names, topic)
+		}
+	}
+	sort.Strings(names)
+	return slices.Compact(names)
 }
 
 // reprovisionTo re-advertises every current export to one peer — used
@@ -169,7 +203,7 @@ func (c *Cluster) sendProvision(b sim.Time, n *Node, dst int, key expKey, port d
 		verb = "off"
 	}
 	_, origin, _ := strings.Cut(string(key), "|")
-	span := c.plane.Send(b, origin, n.Name(), nodeName(dst), "provision "+verb+" "+port.Name, 0)
+	span := c.plane.Send(b, origin, n.Name(), c.nodeName(dst), "provision "+verb+" "+port.Name, 0)
 	note := verb + ":" + string(port.Interface)
 	// Typed ports append their contract attributes; untyped ports keep
 	// the legacy two-field note byte for byte. The datatype rides last
@@ -187,22 +221,11 @@ func (c *Cluster) sendProvision(b sim.Time, n *Node, dst int, key expKey, port d
 }
 
 // stageData replicates changed SHM outport contents to every peer. Only
-// topics this node exports are scanned; a generation check keeps quiet
-// ports off the wire. Mailbox ports do not replicate (remote releases
-// travel as Trigger messages instead).
+// topics this node exports are scanned (n.shmTopics); a generation check
+// keeps quiet ports off the wire. Mailbox ports do not replicate (remote
+// releases travel as Trigger messages instead).
 func (c *Cluster) stageData(b sim.Time, n *Node) {
-	topics := map[string]bool{}
-	for key, port := range n.exported {
-		if topic, _, ok := strings.Cut(string(key), "|"); ok && port.Interface == descriptor.SHM {
-			topics[topic] = true
-		}
-	}
-	names := make([]string, 0, len(topics))
-	for t := range topics {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	for _, topic := range names {
+	for _, topic := range n.shmTopics {
 		shm, err := n.kernel.IPC().SHM(topic)
 		if err != nil {
 			continue
@@ -231,7 +254,7 @@ func (c *Cluster) deliver(b sim.Time, m net.Message) {
 	case net.Heartbeat:
 		n.lastHB[m.Src] = b
 	case net.Report:
-		n.reports[m.Src] = decodeReport(b, m)
+		n.reports[m.Src] = decodeReport(m, n.reports[m.Src])
 	case net.Provision:
 		c.deliverProvision(b, n, m)
 	case net.Data:
@@ -270,7 +293,7 @@ func (c *Cluster) deliverProvision(b sim.Time, n *Node, m net.Message) {
 			return
 		}
 		n.installed[key] = port
-		recv := c.plane.Recv(b, origin, nodeName(m.Src), n.Name(), "provision on "+topic, obs.SpanID(m.Cause))
+		recv := c.plane.Recv(b, origin, c.nodeName(m.Src), n.Name(), "provision on "+topic, obs.SpanID(m.Cause))
 		// Node-local effects of the arrival chain back to the cluster
 		// Recv span through the stitch table (cross-node Why).
 		n.plane.SetRemoteCause(obs.Ref{Node: "cluster", ID: recv})
@@ -290,7 +313,7 @@ func (c *Cluster) deliverProvision(b sim.Time, n *Node, m net.Message) {
 		}
 		_ = n.drcr.AddRemoteProvider(port, origin)
 	case "off":
-		c.uninstallProvision(b, n, key, nodeName(m.Src), obs.SpanID(m.Cause))
+		c.uninstallProvision(b, n, key, c.nodeName(m.Src), obs.SpanID(m.Cause))
 	}
 }
 
@@ -338,7 +361,7 @@ func (c *Cluster) deliverData(n *Node, m net.Message) {
 // span, so the destination plane's spans stitch back across the network
 // hop to the leader's decision.
 func (c *Cluster) deliverControl(b sim.Time, n *Node, m net.Message) {
-	recv := c.plane.Recv(b, m.Topic, nodeName(m.Src), n.Name(), m.Note, obs.SpanID(m.Cause))
+	recv := c.plane.Recv(b, m.Topic, c.nodeName(m.Src), n.Name(), m.Note, obs.SpanID(m.Cause))
 	n.plane.SetRemoteCause(obs.Ref{Node: "cluster", ID: recv})
 	defer n.plane.ClearRemoteCause()
 	verb, detail := m.Note, ""

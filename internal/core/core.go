@@ -643,6 +643,22 @@ func (d *DRCR) GlobalView() policy.View {
 	return d.viewLocked()
 }
 
+// AdmittedModes returns the admission view together with the service
+// mode of every admitted component, index-aligned with view.Admitted
+// and read under the same lock, so the pair describes one epoch.
+func (d *DRCR) AdmittedModes() (policy.View, []int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	v := d.viewLocked()
+	modes := make([]int, len(v.Admitted))
+	for i, ct := range v.Admitted {
+		if c, ok := d.comps[ct.Name]; ok {
+			modes[i] = c.mode
+		}
+	}
+	return v, modes
+}
+
 // viewLocked returns the admission snapshot for the current view epoch.
 // The snapshot is rebuilt (fresh slices, never mutated in place) only
 // when the admitted membership changed since the last call, so a burst

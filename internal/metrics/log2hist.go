@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync/atomic"
 )
 
 // Log2Hist is a fixed-bucket base-2 histogram over non-negative samples
@@ -17,9 +18,16 @@ import (
 // reports the upper bound of the bucket holding the q-th sample (clamped
 // to the observed maximum), so two runs observing the same multiset of
 // samples report identical quantiles regardless of arrival order.
+//
+// Observe and every reader use atomic operations, so concurrent
+// recorders (deploys on disjoint dependency cones) and readers need no
+// lock. The sample count is the sum of the buckets rather than a
+// counter of its own, so a record costs one atomic add (plus a
+// compare-and-swap on a new maximum). A reader racing recorders sees
+// each bucket at some recent value; Quantile and Merge work on one
+// Snapshot.
 type Log2Hist struct {
 	counts [65]uint64
-	total  uint64
 	max    int64
 }
 
@@ -32,25 +40,44 @@ func (h *Log2Hist) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bits.Len64(uint64(v))]++
-	h.total++
-	if v > h.max {
-		h.max = v
+	atomic.AddUint64(&h.counts[bits.Len64(uint64(v))], 1)
+	for {
+		m := atomic.LoadInt64(&h.max)
+		if v <= m || atomic.CompareAndSwapInt64(&h.max, m, v) {
+			return
+		}
 	}
 }
 
+// Snapshot returns a copy of the histogram, read atomically bucket by
+// bucket.
+func (h *Log2Hist) Snapshot() Log2Hist {
+	var s Log2Hist
+	for b := range h.counts {
+		s.counts[b] = atomic.LoadUint64(&h.counts[b])
+	}
+	s.max = atomic.LoadInt64(&h.max)
+	return s
+}
+
 // Count reports the number of recorded samples.
-func (h *Log2Hist) Count() uint64 { return h.total }
+func (h *Log2Hist) Count() uint64 {
+	var n uint64
+	for b := range h.counts {
+		n += atomic.LoadUint64(&h.counts[b])
+	}
+	return n
+}
 
 // Max reports the largest recorded sample (0 when empty).
-func (h *Log2Hist) Max() int64 { return h.max }
+func (h *Log2Hist) Max() int64 { return atomic.LoadInt64(&h.max) }
 
 // Bucket reports the count in bucket b (0 <= b < NumBuckets).
 func (h *Log2Hist) Bucket(b int) uint64 {
 	if b < 0 || b >= log2Buckets {
 		return 0
 	}
-	return h.counts[b]
+	return atomic.LoadUint64(&h.counts[b])
 }
 
 // NumBuckets reports the fixed bucket count.
@@ -73,7 +100,12 @@ func (h *Log2Hist) BucketRange(b int) (lo, hi int64) {
 // (0 <= q <= 1): the upper edge of the bucket containing the ceil(q*n)-th
 // smallest sample, clamped to the observed maximum. Returns 0 when empty.
 func (h *Log2Hist) Quantile(q float64) int64 {
-	if h.total == 0 {
+	s := h.Snapshot()
+	var total uint64
+	for _, c := range s.counts {
+		total += c
+	}
+	if total == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -82,38 +114,39 @@ func (h *Log2Hist) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := uint64(q * float64(h.total))
+	rank := uint64(q * float64(total))
 	if rank == 0 {
 		rank = 1
 	}
-	if rank > h.total {
-		rank = h.total
+	if rank > total {
+		rank = total
 	}
 	var cum uint64
 	for b := 0; b < log2Buckets; b++ {
-		cum += h.counts[b]
+		cum += s.counts[b]
 		if cum >= rank {
-			_, hi := h.BucketRange(b)
-			if hi > h.max {
-				hi = h.max
+			_, hi := s.BucketRange(b)
+			if hi > s.max {
+				hi = s.max
 			}
 			return hi
 		}
 	}
-	return h.max
+	return s.max
 }
 
-// Merge folds another histogram into this one.
+// Merge folds another histogram into this one. The receiver must not
+// be recorded into concurrently; o may be.
 func (h *Log2Hist) Merge(o *Log2Hist) {
 	if o == nil {
 		return
 	}
+	s := o.Snapshot()
 	for b := 0; b < log2Buckets; b++ {
-		h.counts[b] += o.counts[b]
+		h.counts[b] += s.counts[b]
 	}
-	h.total += o.total
-	if o.max > h.max {
-		h.max = o.max
+	if s.max > h.max {
+		h.max = s.max
 	}
 }
 
@@ -123,6 +156,8 @@ func (h *Log2Hist) Render(width int) string {
 	if width <= 0 {
 		width = 50
 	}
+	s := h.Snapshot()
+	h = &s
 	var peak uint64
 	for _, c := range h.counts {
 		if c > peak {

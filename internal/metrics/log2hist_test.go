@@ -1,6 +1,9 @@
 package metrics
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestLog2HistBuckets(t *testing.T) {
 	var h Log2Hist
@@ -86,6 +89,48 @@ func TestLog2HistMerge(t *testing.T) {
 	}
 }
 
+// TestLog2HistConcurrentObserve records from several goroutines while
+// another reads; under -race it pins that neither side needs a lock,
+// and the final counts must be exact.
+func TestLog2HistConcurrentObserve(t *testing.T) {
+	const writers, per = 4, 5000
+	var h Log2Hist
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = h.Quantile(0.99)
+				_ = h.Count()
+				_ = h.Snapshot()
+			}
+		}
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				h.Observe(int64(w*per + i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+	if got := h.Count(); got != writers*per {
+		t.Fatalf("count = %d, want %d", got, writers*per)
+	}
+	if got := h.Max(); got != writers*per-1 {
+		t.Fatalf("max = %d, want %d", got, writers*per-1)
+	}
+}
+
 func TestLog2HistObserveAllocFree(t *testing.T) {
 	var h Log2Hist
 	v := int64(1234)
@@ -95,4 +140,24 @@ func TestLog2HistObserveAllocFree(t *testing.T) {
 	}); avg > 0.001 {
 		t.Fatalf("Observe allocates %v/op, want <= 0.001", avg)
 	}
+}
+
+// The samples cycle below a fixed maximum, as latencies do once the
+// worst case has been seen: the record path is the bucket add alone.
+func BenchmarkLog2HistObserve(b *testing.B) {
+	var h Log2Hist
+	for i := 0; i < b.N; i++ {
+		h.Observe(int64(i & 0xfff))
+	}
+}
+
+func BenchmarkLog2HistObserveParallel(b *testing.B) {
+	var h Log2Hist
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			h.Observe(int64(i & 0xfff))
+			i++
+		}
+	})
 }

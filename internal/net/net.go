@@ -175,6 +175,7 @@ type Network struct {
 	mu      sync.Mutex
 	pending [][]Message // per-src enqueue queues (thread-safe side)
 	seq     []uint64
+	batch   []Message // Advance's ingest scratch, reused across barriers
 
 	rng      []*sim.Rand // per directed link, index src*Nodes+dst
 	inflight []Message   // sorted by (DeliverAt, Src, Seq)
@@ -278,7 +279,7 @@ func (n *Network) Advance(now sim.Time) (deliveries, dropped []Message, topo []T
 	topo = n.advanceTopoLocked(now, &dropped)
 
 	// Ingest sends in canonical order.
-	var batch []Message
+	batch := n.batch[:0]
 	for src := range n.pending {
 		batch = append(batch, n.pending[src]...)
 		n.pending[src] = n.pending[src][:0]
@@ -292,9 +293,11 @@ func (n *Network) Advance(now sim.Time) (deliveries, dropped []Message, topo []T
 		}
 		return batch[i].Seq < batch[j].Seq
 	})
-	for _, m := range batch {
-		n.ingestLocked(now, m, &dropped, false)
+	for i := range batch {
+		n.ingestLocked(now, &batch[i], &dropped, false)
 	}
+	clear(batch) // drop payload references until the next barrier
+	n.batch = batch[:0]
 
 	// Pop deliveries due.
 	cut := 0
@@ -369,18 +372,18 @@ func (n *Network) dropCutInflightLocked(dropped *[]Message) {
 
 // ingestLocked samples one message against its directed link and either
 // drops it or schedules its delivery (plus possibly a duplicate).
-func (n *Network) ingestLocked(now sim.Time, m Message, dropped *[]Message, isDup bool) {
+func (n *Network) ingestLocked(now sim.Time, m *Message, dropped *[]Message, isDup bool) {
 	if n.cutCount[m.Src][m.Dst] > 0 {
 		n.stats.Dropped++
 		n.stats.PartitionDrops++
-		*dropped = append(*dropped, m)
+		*dropped = append(*dropped, *m)
 		return
 	}
 	rng := n.rng[m.Src*n.cfg.Nodes+m.Dst]
 	if n.cfg.DropProb > 0 && rng.Bool(n.cfg.DropProb) {
 		n.stats.Dropped++
 		n.stats.LossDrops++
-		*dropped = append(*dropped, m)
+		*dropped = append(*dropped, *m)
 		return
 	}
 	lat := sim.Duration(n.cfg.Latency)
@@ -400,9 +403,9 @@ func (n *Network) ingestLocked(now sim.Time, m Message, dropped *[]Message, isDu
 	}
 }
 
-func (n *Network) insertInflightLocked(m Message) {
+func (n *Network) insertInflightLocked(m *Message) {
 	i := sort.Search(len(n.inflight), func(i int) bool {
-		o := n.inflight[i]
+		o := &n.inflight[i]
 		if o.DeliverAt != m.DeliverAt {
 			return o.DeliverAt > m.DeliverAt
 		}
@@ -413,7 +416,7 @@ func (n *Network) insertInflightLocked(m Message) {
 	})
 	n.inflight = append(n.inflight, Message{})
 	copy(n.inflight[i+1:], n.inflight[i:])
-	n.inflight[i] = m
+	n.inflight[i] = *m
 }
 
 // Stats returns the conservation ledger. At any barrier,

@@ -58,7 +58,8 @@ func (k LatencyKind) String() string {
 // RecordLatency folds one sample (nanoseconds; wall or simulated per
 // the kind's contract) into the kind's histogram. It never allocates —
 // it runs inside resolve and deploy hot paths at every sampling level
-// except Off.
+// except Off — and is safe from concurrent deploys (Log2Hist records
+// atomically).
 func (p *Plane) RecordLatency(k LatencyKind, ns int64) {
 	if !p.enabled() || k < 0 || k >= latKinds {
 		return
@@ -71,7 +72,7 @@ func (p *Plane) Latency(k LatencyKind) metrics.Log2Hist {
 	if p == nil || k < 0 || k >= latKinds {
 		return metrics.Log2Hist{}
 	}
-	return p.lat[k]
+	return p.lat[k].Snapshot()
 }
 
 // LatencyStat is the exported summary of one latency distribution.
@@ -93,7 +94,7 @@ func (p *Plane) LatencyStats() []LatencyStat {
 	}
 	var out []LatencyStat
 	for k := LatencyKind(0); k < latKinds; k++ {
-		h := &p.lat[k]
+		h := p.lat[k].Snapshot()
 		if h.Count() == 0 {
 			continue
 		}

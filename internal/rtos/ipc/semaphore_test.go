@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -96,7 +97,7 @@ func TestSemaphoreBoundsProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
