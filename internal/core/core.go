@@ -179,6 +179,11 @@ type Component struct {
 	// it becomes the admit span's detail. Empty otherwise.
 	admitVerdict string
 
+	// derived caches the descriptor-derived snapshot fields, built on the
+	// first snapshot and shared read-only by every snapshot since: the
+	// descriptor never changes for the life of the record.
+	derived *derivedInfo
+
 	// wait records the last resolution failure mode (worklist engine).
 	wait waitKind
 	// lastSpan is the component's most recent observability span;
@@ -244,6 +249,10 @@ type Info struct {
 	Modes    []ModeInfo
 	// OutPorts lists the component's declared outports (name and
 	// transport), so external monitors can watch port freshness.
+	//
+	// Modes and OutPorts are derived once per component record and shared
+	// by every snapshot of it: treat them as read-only. Bindings is a
+	// fresh map in every snapshot.
 	OutPorts []PortInfo
 	// BudgetDist is the declared stochastic budget in canonical dist
 	// grammar ("" for constant-budget components) and BudgetP its
@@ -334,6 +343,9 @@ type DRCR struct {
 
 	comps     map[string]*Component
 	factories map[string]BodyFactory
+	// byName is comps sorted by name for Components; nil whenever comps
+	// gained or lost a key since it was built.
+	byName []*Component
 
 	// planCache holds compiled composition plans keyed by descriptor-set
 	// digest, so redeploys and cluster-shipped batches skip compilation.
@@ -573,15 +585,24 @@ func (d *DRCR) Component(name string) (Info, bool) {
 func (d *DRCR) Components() []Info {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]Info, 0, len(d.comps))
-	for _, c := range d.comps {
-		out = append(out, d.infoLocked(c))
+	if d.byName == nil {
+		d.byName = make([]*Component, 0, len(d.comps))
+		for _, c := range d.comps {
+			d.byName = append(d.byName, c)
+		}
+		sort.Slice(d.byName, func(i, j int) bool { return d.byName[i].desc.Name < d.byName[j].desc.Name })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	out := make([]Info, len(d.byName))
+	for i, c := range d.byName {
+		out[i] = d.infoLocked(c)
+	}
 	return out
 }
 
 func (d *DRCR) infoLocked(c *Component) Info {
+	if c.derived == nil {
+		c.derived = deriveInfo(c.desc)
+	}
 	info := Info{
 		Name:       c.desc.Name,
 		State:      c.state,
@@ -594,32 +615,50 @@ func (d *DRCR) infoLocked(c *Component) Info {
 		Revoked:    c.revoked,
 		Mode:       c.mode,
 		ModeName:   c.desc.ModeName(c.mode),
-		Bindings:   map[string]string{},
+		Modes:      c.derived.modes,
+		OutPorts:   c.derived.outPorts,
+		BudgetDist: c.derived.budgetDist,
+		Bindings:   make(map[string]string, len(c.bindings)),
+	}
+	if c.desc.Budget != nil {
+		info.BudgetP = c.desc.BudgetP
 	}
 	if c.mode > 0 {
 		info.CPUUsage = c.desc.ModeSpec(c.mode).CPUUsage
 	}
-	if n := c.desc.NumModes(); n > 1 {
-		info.Modes = make([]ModeInfo, n)
-		for i := 0; i < n; i++ {
-			m := c.desc.ModeSpec(i)
-			info.Modes[i] = ModeInfo{Name: m.Name, FrequencyHz: m.FrequencyHz, CPUUsage: m.CPUUsage, Drops: m.Drops}
-		}
-	}
 	if c.bundle != nil {
 		info.Bundle = c.bundle.SymbolicName()
-	}
-	if c.desc.Budget != nil {
-		info.BudgetDist = c.desc.Budget.String()
-		info.BudgetP = c.desc.BudgetP
-	}
-	for _, out := range c.desc.OutPorts {
-		info.OutPorts = append(info.OutPorts, PortInfo{Name: out.Name, Interface: string(out.Interface)})
 	}
 	for k, v := range c.bindings {
 		info.Bindings[k] = v
 	}
 	return info
+}
+
+// derivedInfo holds the snapshot fields a descriptor determines and
+// that cost allocation or formatting to build.
+type derivedInfo struct {
+	modes      []ModeInfo
+	outPorts   []PortInfo
+	budgetDist string
+}
+
+func deriveInfo(desc *descriptor.Component) *derivedInfo {
+	di := &derivedInfo{}
+	if n := desc.NumModes(); n > 1 {
+		di.modes = make([]ModeInfo, n)
+		for i := 0; i < n; i++ {
+			m := desc.ModeSpec(i)
+			di.modes[i] = ModeInfo{Name: m.Name, FrequencyHz: m.FrequencyHz, CPUUsage: m.CPUUsage, Drops: m.Drops}
+		}
+	}
+	for _, out := range desc.OutPorts {
+		di.outPorts = append(di.outPorts, PortInfo{Name: out.Name, Interface: string(out.Interface)})
+	}
+	if desc.Budget != nil {
+		di.budgetDist = desc.Budget.String()
+	}
+	return di
 }
 
 // Management returns the live management service of an active component.

@@ -223,6 +223,7 @@ func (d *DRCR) dropBundle(b *osgi.Bundle) {
 func (d *DRCR) removeRecordLocked(c *Component) {
 	name := c.desc.Name
 	delete(d.comps, name)
+	d.byName = nil
 	d.allNames = removeName(d.allNames, name)
 	for _, in := range c.desc.InPorts {
 		key := keyOf(in)
@@ -260,6 +261,7 @@ func (d *DRCR) addComponent(desc *descriptor.Component, b *osgi.Bundle) error {
 		c.lastReason = "deployed disabled"
 	}
 	d.comps[desc.Name] = c
+	d.byName = nil
 	d.allNames = insertName(d.allNames, desc.Name)
 	for _, in := range desc.InPorts {
 		key := keyOf(in)

@@ -349,6 +349,7 @@ func (d *DRCR) applyPlanLocked(p *plan.Plan, specs []rtos.TaskSpec, b *osgi.Bund
 			c.lastReason = "deployed disabled"
 		}
 		d.comps[desc.Name] = c
+		d.byName = nil
 		installed = append(installed, desc.Name)
 		for _, in := range desc.InPorts {
 			key := keyOf(in)

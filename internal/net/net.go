@@ -25,7 +25,9 @@
 package net
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -179,6 +181,7 @@ type Network struct {
 
 	rng      []*sim.Rand // per directed link, index src*Nodes+dst
 	inflight []Message   // sorted by (DeliverAt, Src, Seq)
+	fresh    []Message   // this barrier's new deliveries, merged into inflight once
 	parts    []partition
 	cutCount [][]int // active partitions separating each pair
 
@@ -298,6 +301,7 @@ func (n *Network) Advance(now sim.Time) (deliveries, dropped []Message, topo []T
 	}
 	clear(batch) // drop payload references until the next barrier
 	n.batch = batch[:0]
+	n.mergeFreshLocked()
 
 	// Pop deliveries due.
 	cut := 0
@@ -396,27 +400,49 @@ func (n *Network) ingestLocked(now sim.Time, m *Message, dropped *[]Message, isD
 		// no earlier than the next barrier (conservative bound).
 		m.DeliverAt = now + 1
 	}
-	n.insertInflightLocked(m)
+	n.fresh = append(n.fresh, *m)
 	if !isDup && n.cfg.DupProb > 0 && rng.Bool(n.cfg.DupProb) {
 		n.stats.Duplicated++
 		n.ingestLocked(now, m, dropped, true)
 	}
 }
 
-func (n *Network) insertInflightLocked(m *Message) {
-	i := sort.Search(len(n.inflight), func(i int) bool {
-		o := &n.inflight[i]
-		if o.DeliverAt != m.DeliverAt {
-			return o.DeliverAt > m.DeliverAt
+// deliveryOrder is the canonical in-flight order: (DeliverAt, Src, Seq).
+func deliveryOrder(a, b *Message) int {
+	switch {
+	case a.DeliverAt != b.DeliverAt:
+		return cmp.Compare(a.DeliverAt, b.DeliverAt)
+	case a.Src != b.Src:
+		return cmp.Compare(a.Src, b.Src)
+	default:
+		return cmp.Compare(a.Seq, b.Seq)
+	}
+}
+
+// mergeFreshLocked sorts the barrier's newly scheduled deliveries and
+// merges them into inflight in one backward pass: O(in-flight + batch)
+// per barrier rather than a tail shift per message. Among equal keys
+// (only a message and its duplicate) ingest order is kept.
+func (n *Network) mergeFreshLocked() {
+	f := n.fresh
+	if len(f) == 0 {
+		return
+	}
+	slices.SortStableFunc(f, func(a, b Message) int { return deliveryOrder(&a, &b) })
+	i := len(n.inflight) - 1
+	n.inflight = append(n.inflight, f...)
+	in := n.inflight
+	for j, k := len(f)-1, len(in)-1; j >= 0; k-- {
+		if i >= 0 && deliveryOrder(&in[i], &f[j]) > 0 {
+			in[k] = in[i]
+			i--
+		} else {
+			in[k] = f[j]
+			j--
 		}
-		if o.Src != m.Src {
-			return o.Src > m.Src
-		}
-		return o.Seq > m.Seq
-	})
-	n.inflight = append(n.inflight, Message{})
-	copy(n.inflight[i+1:], n.inflight[i:])
-	n.inflight[i] = *m
+	}
+	clear(f) // drop payload references until the next barrier
+	n.fresh = f[:0]
 }
 
 // Stats returns the conservation ledger. At any barrier,

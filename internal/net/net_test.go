@@ -49,6 +49,37 @@ func TestDeliveryOrderAndLatencyBound(t *testing.T) {
 	}
 }
 
+// TestDeliveryOrderAcrossBarriers sends at every barrier with jitter far
+// wider than the barrier step, so each barrier's new messages interleave
+// with ones already in flight; deliveries must still come out in
+// canonical (DeliverAt, Src, Seq) order, each one exactly once.
+func TestDeliveryOrderAcrossBarriers(t *testing.T) {
+	n := New(Config{Nodes: 4, Seed: 11, Latency: 500 * time.Microsecond, Jitter: 3 * time.Millisecond, DupProb: 0.1})
+	step := sim.Duration(250 * time.Microsecond)
+	var del []Message
+	for i := 0; i < 80; i++ {
+		now := sim.Time(i) * sim.Time(step)
+		for k := 0; k < 5; k++ {
+			src := (i + k) % 4
+			n.Send(now, Message{Src: src, Dst: (src + 1 + k%3) % 4, Kind: Data})
+		}
+		d, _, _ := n.Advance(now)
+		del = append(del, d...)
+	}
+	d, _, _ := n.Advance(sim.Time(80)*sim.Time(step) + ms(5))
+	del = append(del, d...)
+	st := n.Stats()
+	if st.Inflight != 0 || uint64(len(del)) != st.Sent+st.Duplicated {
+		t.Fatalf("delivered %d, sent %d + duplicated %d, %d still in flight", len(del), st.Sent, st.Duplicated, st.Inflight)
+	}
+	for i := 1; i < len(del); i++ {
+		if deliveryOrder(&del[i-1], &del[i]) > 0 {
+			t.Fatalf("delivery %d (at %v, src %d, seq %d) before delivery %d (at %v, src %d, seq %d)",
+				i-1, del[i-1].DeliverAt, del[i-1].Src, del[i-1].Seq, i, del[i].DeliverAt, del[i].Src, del[i].Seq)
+		}
+	}
+}
+
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() string {
 		n := New(Config{Nodes: 4, Seed: 42, DropProb: 0.2, DupProb: 0.1})

@@ -12,8 +12,9 @@ import (
 // task set and scheduling policy,
 //
 //  1. per-CPU busy time never exceeds elapsed time;
-//  2. busy time equals the execution charged to completed jobs plus work
-//     still in flight;
+//  2. every task's charged execution is exactly its completed jobs'
+//     execution plus the partial execution of its in-flight job, and each
+//     CPU's busy time is exactly the sum of its tasks' charged execution;
 //  3. response time of every job is at least its execution time.
 func TestSchedulerConservation(t *testing.T) {
 	prop := func(seeds [4]uint8, edf bool, quantumOn bool) bool {
@@ -25,7 +26,8 @@ func TestSchedulerConservation(t *testing.T) {
 		if quantumOn {
 			quantum = 50 * time.Microsecond
 		}
-		k := NewKernel(Config{Timing: &noNoise, Seed: 1, Policy: pol, Quantum: quantum})
+		const cpus = 2
+		k := NewKernel(Config{NumCPUs: cpus, Timing: &noNoise, Seed: 1, Policy: pol, Quantum: quantum})
 		var tasks []*Task
 		for i, s := range seeds {
 			exec := time.Duration(int(s%40)+1) * 10 * time.Microsecond // 10µs..400µs
@@ -33,6 +35,7 @@ func TestSchedulerConservation(t *testing.T) {
 			task, err := k.CreateTask(TaskSpec{
 				Name:     fmt.Sprintf("t%d", i),
 				Type:     Periodic,
+				CPU:      int(s/8) % cpus,
 				Period:   period,
 				Priority: int(s % 3), // collisions on purpose
 				ExecTime: exec,
@@ -45,34 +48,42 @@ func TestSchedulerConservation(t *testing.T) {
 			}
 			tasks = append(tasks, task)
 		}
-		const window = 100 * time.Millisecond
+		// The window ends off every period boundary, so jobs are caught
+		// mid-execution and preempted with partial charges.
+		const window = 100*time.Millisecond + 173*time.Microsecond
 		if err := k.Run(window); err != nil {
 			return false
 		}
-		busy, err := k.BusyTime(0)
-		if err != nil {
-			return false
-		}
-		if busy > window {
-			t.Logf("busy %v > window %v", busy, window)
-			return false
-		}
-		// Charged work: completed jobs × exec (exact, jitter disabled).
-		var charged time.Duration
+		var consumed [cpus]time.Duration
 		for _, task := range tasks {
 			st := task.Stats()
-			charged += time.Duration(st.Jobs) * task.Spec().ExecTime
-			if st.Jobs > 0 && st.Response.Min < int64(task.Spec().ExecTime) {
-				t.Logf("%s response %d < exec %v", task.Name(), st.Response.Min, task.Spec().ExecTime)
+			spec := task.Spec()
+			// Jitter is disabled, so every job executes exactly ExecTime.
+			want := time.Duration(st.Jobs)*spec.ExecTime + task.InFlightCPU()
+			if got := task.ConsumedCPU(); got != want {
+				t.Logf("%s consumed %v, want %d jobs × %v + in-flight %v = %v",
+					task.Name(), got, st.Jobs, spec.ExecTime, task.InFlightCPU(), want)
+				return false
+			}
+			consumed[spec.CPU] += task.ConsumedCPU()
+			if st.Jobs > 0 && st.Response.Min < int64(spec.ExecTime) {
+				t.Logf("%s response %d < exec %v", task.Name(), st.Response.Min, spec.ExecTime)
 				return false
 			}
 		}
-		// busy may exceed charged by at most the in-flight job's partial
-		// execution (bounded by the largest exec time).
-		slack := busy - charged
-		if slack < 0 || slack > 400*time.Microsecond {
-			t.Logf("conservation broken: busy %v charged %v", busy, charged)
-			return false
+		for cpu := 0; cpu < cpus; cpu++ {
+			busy, err := k.BusyTime(cpu)
+			if err != nil {
+				return false
+			}
+			if busy > window {
+				t.Logf("cpu%d busy %v > window %v", cpu, busy, window)
+				return false
+			}
+			if busy != consumed[cpu] {
+				t.Logf("cpu%d busy %v != Σ consumed %v", cpu, busy, consumed[cpu])
+				return false
+			}
 		}
 		return true
 	}

@@ -1,88 +1,123 @@
 package rtos
 
-import (
-	"container/heap"
+import "repro/internal/sim"
 
-	"repro/internal/sim"
-)
-
-// readyQueue is a priority heap of runnable jobs. Under fixed priority it
-// orders by (priority, seq): lower priority value first, FIFO within a
+// readyQueue is a binary min-heap of runnable jobs. Under fixed priority
+// it orders by (priority, seq): lower priority value first, FIFO within a
 // level, and re-enqueueing a job assigns a fresh seq, which yields
 // round-robin rotation among equal priorities when the quantum expires.
-// Under EDF it orders by (absolute deadline, seq).
+// Under EDF it orders by (absolute deadline, seq). Each slot carries the
+// job's key inline (job.key: the priority or the absolute deadline), so
+// comparisons never chase the job's task pointer. Jobs keep their slot
+// position in heapIdx, so remove (Suspend) stays O(log n).
 type readyQueue struct {
-	items []*job
+	items []readySlot
 	edf   bool
 }
 
-func (q *readyQueue) Len() int { return len(q.items) }
+// readySlot is one ready-queue entry.
+type readySlot struct {
+	key int64
+	seq uint64
+	j   *job
+}
 
-func (q *readyQueue) Less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if q.edf {
-		if a.absDeadline != b.absDeadline {
-			return a.absDeadline < b.absDeadline
-		}
-		return a.seq < b.seq
-	}
-	if a.task.spec.Priority != b.task.spec.Priority {
-		return a.task.spec.Priority < b.task.spec.Priority
+func (a readySlot) less(b readySlot) bool {
+	if a.key != b.key {
+		return a.key < b.key
 	}
 	return a.seq < b.seq
 }
 
-func (q *readyQueue) Swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.items[i].heapIdx = i
-	q.items[j].heapIdx = j
-}
-
-func (q *readyQueue) Push(x any) {
-	it := x.(*job)
-	it.heapIdx = len(q.items)
-	q.items = append(q.items, it)
-}
-
-func (q *readyQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.heapIdx = -1
-	q.items = old[:n-1]
-	return it
+// keyOf is j's ordering key under the queue's policy.
+func (q *readyQueue) keyOf(j *job) int64 {
+	if q.edf {
+		return int64(j.absDeadline)
+	}
+	return int64(j.task.spec.Priority)
 }
 
 func (q *readyQueue) push(j *job) {
 	j.queued = true
-	heap.Push(q, j)
+	j.key = q.keyOf(j)
+	q.items = append(q.items, readySlot{})
+	q.up(len(q.items)-1, readySlot{key: j.key, seq: j.seq, j: j})
 }
 
 func (q *readyQueue) pop() *job {
 	if len(q.items) == 0 {
 		return nil
 	}
-	j := heap.Pop(q).(*job)
-	j.queued = false
+	j := q.items[0].j
+	q.removeAt(0)
 	return j
-}
-
-func (q *readyQueue) peek() *job {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.items[0]
 }
 
 // remove withdraws a specific job (used by Suspend) through its stored
 // heap index — O(log n) instead of a linear scan of the ready queue.
 func (q *readyQueue) remove(j *job) {
-	if !j.queued || j.heapIdx < 0 || j.heapIdx >= len(q.items) || q.items[j.heapIdx] != j {
+	if !j.queued || j.heapIdx < 0 || j.heapIdx >= len(q.items) || q.items[j.heapIdx].j != j {
 		return
 	}
-	heap.Remove(q, j.heapIdx)
+	q.removeAt(j.heapIdx)
+}
+
+// removeAt deletes the slot at i, refilling the hole with the last slot.
+func (q *readyQueue) removeAt(i int) {
+	h := q.items
+	j := h[i].j
+	n := len(h) - 1
+	last := h[n]
+	h[n] = readySlot{}
+	q.items = h[:n]
+	if i < n {
+		if i > 0 && last.less(h[(i-1)/2]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
+		}
+	}
 	j.queued = false
+	j.heapIdx = -1
+}
+
+// up places s at or above position i.
+func (q *readyQueue) up(i int, s readySlot) {
+	h := q.items
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].j.heapIdx = i
+		i = p
+	}
+	h[i] = s
+	s.j.heapIdx = i
+}
+
+// down places s at or below position i.
+func (q *readyQueue) down(i int, s readySlot) {
+	h := q.items
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(s) {
+			break
+		}
+		h[i] = h[c]
+		h[i].j.heapIdx = i
+		i = c
+	}
+	h[i] = s
+	s.j.heapIdx = i
 }
 
 // cpu is one simulated processor with its own run queue. clk and sh are
@@ -117,21 +152,14 @@ func (c *cpu) enqueue(k *Kernel, j *job, now sim.Time) {
 		c.dispatch(k, now)
 		return
 	}
-	if c.ready.edf {
-		if j.absDeadline < c.running.absDeadline {
-			c.preemptRunning(k, now)
-			c.dispatch(k, now)
-		}
-		return // no quantum rotation under EDF
-	}
-	if j.task.spec.Priority < c.running.task.spec.Priority {
+	if j.key < c.running.key {
 		c.preemptRunning(k, now)
 		c.dispatch(k, now)
 		return
 	}
 	// An equal-priority arrival starts round-robin rotation if the
-	// current slice has no quantum armed yet.
-	if k.quantum > 0 && c.quantEv == nil && j.task.spec.Priority == c.running.task.spec.Priority {
+	// current slice has no quantum armed yet (never under EDF).
+	if k.quantum > 0 && !c.ready.edf && c.quantEv == nil && j.key == c.running.key {
 		c.armQuantum(k, now)
 	}
 }
@@ -154,13 +182,14 @@ func (c *cpu) dispatch(k *Kernel, now sim.Time) {
 		t := j.task
 		t.latency.Add(int64(now.Sub(j.nominal)))
 		if t.spec.Body != nil {
-			t.spec.Body(&JobContext{
+			t.jobCtx = JobContext{
 				Kernel:  k,
 				Task:    t,
 				Now:     now,
 				Nominal: j.nominal,
 				Index:   t.jobsDone + t.skips, // monotone job index
-			})
+			}
+			t.spec.Body(&t.jobCtx)
 		}
 	}
 	c.scheduleSlice(k, now)
@@ -177,7 +206,7 @@ func (c *cpu) scheduleSlice(k *Kernel, now sim.Time) {
 	}
 	c.complEv = ev
 	if k.quantum > 0 && !c.ready.edf {
-		if next := c.ready.peek(); next != nil && next.task.spec.Priority == j.task.spec.Priority {
+		if len(c.ready.items) > 0 && c.ready.items[0].key == j.key {
 			c.armQuantum(k, now)
 		}
 	}

@@ -61,7 +61,10 @@ func (s TaskState) String() string {
 // the wall-clock cost of the callback.
 type Body func(job *JobContext)
 
-// JobContext is what a task body sees for one job.
+// JobContext is what a task body sees for one job. Each task owns one
+// context that the kernel refills before every Body call, so dispatch
+// allocates nothing: the pointer is valid only for the duration of that
+// call, and a body must copy out any field it wants to keep.
 type JobContext struct {
 	Kernel  *Kernel
 	Task    *Task
@@ -140,7 +143,8 @@ type job struct {
 	remaining    time.Duration
 	dispatched   bool
 	dispatchTime sim.Time
-	seq          uint64 // ready-queue ordering within a priority level
+	key          int64  // ready-queue key: priority (FP) or absDeadline (EDF)
+	seq          uint64 // ready-queue ordering within a key
 	queued       bool
 	heapIdx      int  // position in the ready queue while queued
 	nextFree     *job // free-list link while recycled
@@ -166,6 +170,7 @@ type Task struct {
 	quantumLabel  string
 	releaseFn     sim.Handler
 	nextNominal   sim.Time
+	jobCtx        JobContext // refilled for every Body call
 
 	rng *sim.Rand
 
@@ -251,6 +256,18 @@ func (t *Task) Metrics() TaskMetrics {
 // ConsumedCPU reports the total execution time the kernel has charged to
 // this task's jobs, including partial slices of preempted jobs.
 func (t *Task) ConsumedCPU() time.Duration { return t.consumed }
+
+// InFlightCPU reports the part of ConsumedCPU charged to the task's
+// released but unfinished job (exec − remaining), zero when none is in
+// flight. A running job's current slice is charged when the slice ends,
+// so at every instant ConsumedCPU is exactly the execution cost of the
+// completed jobs plus InFlightCPU.
+func (t *Task) InFlightCPU() time.Duration {
+	if j := t.pending; j != nil {
+		return j.exec - j.remaining
+	}
+	return 0
+}
 
 // SetExecScale multiplies the sampled execution cost of future jobs by f,
 // the fault injector's budget-overrun perturbation. Values <= 0 or 1

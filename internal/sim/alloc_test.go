@@ -65,3 +65,29 @@ func TestCancelCollectAllocFree(t *testing.T) {
 		t.Fatalf("Schedule+Cancel+Step allocated %.2f objects per cycle, want 0", allocs)
 	}
 }
+
+// BenchmarkClockHold measures the classic hold model at the queue depth
+// of the steady benchmark workload (about two thousand periodic release
+// events): each iteration fires the earliest event, whose handler
+// re-schedules itself one pseudo-random period later.
+func BenchmarkClockHold(b *testing.B) {
+	const depth = 2048
+	c := NewClock()
+	r := NewRand(1)
+	var h Handler
+	h = func(now Time) {
+		if _, err := c.Schedule(now+Time(500_000+r.Int63n(1_000_000)), "hold", h); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < depth; i++ {
+		if _, err := c.Schedule(Time(r.Int63n(1_000_000)), "hold", h); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Step()
+	}
+}
