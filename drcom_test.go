@@ -182,7 +182,7 @@ func TestSystemGlobalViewAndLoadMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := sys.GlobalView()
-	if len(view.Admitted) != 1 || view.Admitted[0].CPUUsage != 0.1 {
+	if len(view.Contracts()) != 1 || view.Contracts()[0].CPUUsage != 0.1 {
 		t.Fatalf("view = %+v", view)
 	}
 	sys.SetLoadMode(StressLoad)

@@ -209,11 +209,11 @@ func AblationResolvers() ([]ResolverResult, error) {
 	resolvers := []policy.Resolver{policy.Utilization{}, policy.RMA{}, policy.EDF{}}
 	out := make([]ResolverResult, 0, len(resolvers))
 	for _, r := range resolvers {
-		view := policy.View{NumCPUs: 1}
+		var admitted []policy.Contract
 		res := ResolverResult{Policy: r.Name()}
 		for _, c := range set {
-			if r.Admit(view, c).Admit {
-				view.Admitted = append(view.Admitted, c)
+			if r.Admit(policy.NewView(1, admitted), c).Admit {
+				admitted = append(admitted, c)
 				res.Admitted++
 			} else {
 				res.Denied++

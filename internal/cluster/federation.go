@@ -25,7 +25,7 @@ func viewLoad(view policy.View) float64 {
 		load += l
 	}
 	if view.CPULoad == nil {
-		for _, ct := range view.Admitted {
+		for _, ct := range view.Contracts() {
 			load += ct.CPUUsage
 		}
 	}
@@ -42,15 +42,16 @@ func (n *Node) localReport() *report {
 		return r
 	}
 	view, modes := n.drcr.AdmittedModes()
+	cts := view.Contracts()
 	r := &report{
 		epoch:    view.Epoch,
 		load:     viewLoad(view),
-		admitted: len(view.Admitted),
-		comps:    make(map[string]int, len(view.Admitted)),
-		names:    make([]string, len(view.Admitted)),
+		admitted: len(cts),
+		comps:    make(map[string]int, len(cts)),
+		names:    make([]string, len(cts)),
 	}
 	var sb strings.Builder
-	for i, ct := range view.Admitted {
+	for i, ct := range cts {
 		r.comps[ct.Name] = modes[i]
 		r.names[i] = ct.Name
 		if i > 0 {
@@ -150,7 +151,7 @@ func (c *Cluster) stageProvisions(b sim.Time, n *Node) {
 // components.
 func (c *Cluster) exportSet(n *Node, view policy.View) map[expKey]descriptor.Port {
 	set := map[expKey]descriptor.Port{}
-	for _, ct := range view.Admitted {
+	for _, ct := range view.Contracts() {
 		pl := c.placements[ct.Name]
 		if pl == nil {
 			continue // not cluster-managed (node-local deployment)

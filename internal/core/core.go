@@ -18,7 +18,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -352,32 +354,23 @@ type DRCR struct {
 	// Replaceable via SetPlanCache (a cluster shares one across nodes).
 	planCache *plan.Cache
 
-	// admitted is the contract set of Active/Suspended components, kept
-	// name-sorted up to admittedSorted and maintained incrementally on
-	// every lifecycle transition so Resolve's fixed-point iterations
-	// never rebuild it. Inserts append past the sorted prefix;
-	// flushAdmittedLocked sorts and merges the tail before any ordered
-	// read, so a whole-bundle deploy pays one O(N) merge instead of N
-	// O(N) shifts. Pointers, not values: the merge moves one machine
-	// word per element instead of a whole contract. cpuLoad is the
-	// matching per-CPU summed declared budget.
-	admitted       []*policy.Contract
-	admittedSorted int
-	cpuLoad        []float64
-	// loadDirty flags CPUs whose accumulator is stale; loadLocked
-	// re-sums them in admitted-name order before anyone reads cpuLoad,
-	// so a whole-bundle deploy pays one rebuild instead of N.
-	loadDirty    []bool
-	loadDirtyAny bool
+	// cpus is the contract set of Active/Suspended components, one
+	// name-sorted slice per CPU with its summed declared budget. A write
+	// touches one CPU: binary search, edit, re-sum that CPU in name order.
+	// A slice a published view still references is copied first (see
+	// editContractLocked), so a snapshot costs O(NumCPUs) and a write the
+	// one CPU it lands on. stochastic counts admitted contracts carrying a
+	// distribution-valued budget.
+	cpus       []cpuContracts
+	stochastic int
 
 	// allNames is the sorted name list of every managed component,
 	// maintained incrementally on deploy/destroy so the reference full
-	// sweep never re-sorts. namesScratch / admittedScratch are the reused
-	// snapshot buffers its passes iterate (snapshots are required: event
-	// listeners run unlocked and may mutate the component set).
-	allNames        []string
-	namesScratch    []string
-	admittedScratch []string
+	// sweep never re-sorts. namesScratch is the reused snapshot buffer its
+	// passes iterate (snapshots are required: event listeners run unlocked
+	// and may mutate the component set).
+	allNames     []string
+	namesScratch []string
 
 	// provIndex maps a port topic to its admitted providers (sorted by
 	// name, so provider choice matches the reference scan over the
@@ -429,6 +422,8 @@ type DRCR struct {
 	chainMu    sync.Mutex
 	chain      policy.Chain
 
+	// events is the whole lifecycle log (see Events); listeners is
+	// copy-on-write (see AddListener).
 	events    []Event
 	listeners []func(Event)
 
@@ -453,6 +448,7 @@ func New(fw *osgi.Framework, kernel *rtos.Kernel, opts Options) (*DRCR, error) {
 		obs:         opts.Obs,
 		comps:       map[string]*Component{},
 		factories:   map[string]BodyFactory{},
+		cpus:        make([]cpuContracts, kernel.NumCPUs()),
 		planCache:   plan.NewCache(),
 		provIndex:   map[portKey][]portProv{},
 		consIndex:   map[portKey][]string{},
@@ -491,9 +487,7 @@ func (d *DRCR) Observer() obs.Observer { return d.obs.Observer() }
 func (d *DRCR) declaredLoad() []float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]float64, d.kernel.NumCPUs())
-	copy(out, d.loadLocked())
-	return out
+	return d.loadsLocked()
 }
 
 // takeCause consumes a component's pending span cause.
@@ -536,20 +530,23 @@ func (d *DRCR) RegisterBody(bincode string, f BodyFactory) error {
 }
 
 // AddListener subscribes to lifecycle events; the returned function
-// unsubscribes.
+// unsubscribes. The listener slice is copy-on-write: both install a fresh
+// slice, so emitLocked iterates the header it read without copying it.
 func (d *DRCR) AddListener(f func(Event)) (remove func()) {
 	if f == nil {
 		return func() {}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.listeners = append(d.listeners, f)
+	d.listeners = append(d.listeners[:len(d.listeners):len(d.listeners)], f)
 	idx := len(d.listeners) - 1
 	return func() {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		if idx < len(d.listeners) {
-			d.listeners[idx] = nil
+		if idx < len(d.listeners) && d.listeners[idx] != nil {
+			ls := slices.Clone(d.listeners)
+			ls[idx] = nil
+			d.listeners = ls
 		}
 	}
 }
@@ -683,14 +680,15 @@ func (d *DRCR) GlobalView() policy.View {
 }
 
 // AdmittedModes returns the admission view together with the service
-// mode of every admitted component, index-aligned with view.Admitted
+// mode of every admitted component, index-aligned with view.Contracts()
 // and read under the same lock, so the pair describes one epoch.
 func (d *DRCR) AdmittedModes() (policy.View, []int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	v := d.viewLocked()
-	modes := make([]int, len(v.Admitted))
-	for i, ct := range v.Admitted {
+	cts := v.Contracts()
+	modes := make([]int, len(cts))
+	for i, ct := range cts {
 		if c, ok := d.comps[ct.Name]; ok {
 			modes[i] = c.mode
 		}
@@ -699,32 +697,91 @@ func (d *DRCR) AdmittedModes() (policy.View, []int) {
 }
 
 // viewLocked returns the admission snapshot for the current view epoch.
-// The snapshot is rebuilt (fresh slices, never mutated in place) only
-// when the admitted membership changed since the last call, so a burst
-// of consults against an unchanged view shares one copy instead of
-// re-copying the contract list per candidate.
+// The snapshot is rebuilt only when the admitted set changed since the
+// last call, and a rebuild copies no contract: it shares every CPU's
+// slice (marking it shared, so the next write there copies it) and
+// copies only the per-CPU budget sums.
 func (d *DRCR) viewLocked() policy.View {
 	if !d.viewSnapValid || d.viewSnapEpoch != d.viewEpoch {
-		d.flushAdmittedLocked()
-		v := policy.View{NumCPUs: d.kernel.NumCPUs(), Epoch: d.viewEpoch}
-		if len(d.admitted) > 0 {
-			v.Admitted = make([]policy.Contract, len(d.admitted))
-			for i, ct := range d.admitted {
-				v.Admitted[i] = *ct
-				if ct.Budget != nil {
-					v.Stochastic = true
-				}
-			}
-		}
-		if load := d.loadLocked(); len(load) > 0 {
-			v.CPULoad = make([]float64, len(load))
-			copy(v.CPULoad, load)
-		}
-		d.viewSnap = v
+		d.viewSnap = policy.SnapshotView(d.viewEpoch, d.shareCPUsLocked(), d.loadsLocked(), d.stochastic > 0)
 		d.viewSnapEpoch = d.viewEpoch
 		d.viewSnapValid = true
 	}
 	return d.viewSnap
+}
+
+// shareCPUsLocked hands out every CPU's contract slice for a snapshot,
+// without spare capacity, and marks each shared.
+func (d *DRCR) shareCPUsLocked() [][]policy.Contract {
+	per := make([][]policy.Contract, len(d.cpus))
+	for i := range d.cpus {
+		s := &d.cpus[i]
+		per[i] = s.cts[:len(s.cts):len(s.cts)]
+		s.shared = true
+	}
+	return per
+}
+
+// loadsLocked copies the per-CPU summed declared budgets.
+func (d *DRCR) loadsLocked() []float64 {
+	load := make([]float64, len(d.cpus))
+	for i := range d.cpus {
+		load[i] = d.cpus[i].load
+	}
+	return load
+}
+
+// cpuContracts is one CPU's share of the admitted set.
+type cpuContracts struct {
+	// cts is name-sorted; load is its CPUUsage summed in that order.
+	cts  []policy.Contract
+	load float64
+	// shared is set while a published view may reference cts: the next
+	// write copies the slice instead of editing it in place.
+	shared bool
+}
+
+// editContractLocked applies one write to the admitted set: it inserts
+// ct (or replaces the contract of the same name) on ct.CPU, or, with
+// remove, withdraws the contract named ct.Name from ct.CPU, reporting
+// whether one was there. Only that CPU's slice is touched, copied first
+// if a view shares it, and only its load is re-summed, in name order, so
+// every CPU's total is bit-for-bit the one a full rebuild would produce.
+func (d *DRCR) editContractLocked(ct policy.Contract, remove bool) bool {
+	if ct.CPU < 0 || ct.CPU >= len(d.cpus) {
+		return false // activation rejects such a pin; nothing is tracked there
+	}
+	s := &d.cpus[ct.CPU]
+	i, found := slices.BinarySearchFunc(s.cts, ct.Name, func(c policy.Contract, name string) int {
+		return strings.Compare(c.Name, name)
+	})
+	if remove && !found {
+		return false
+	}
+	if s.shared {
+		cp := make([]policy.Contract, len(s.cts), len(s.cts)+1)
+		copy(cp, s.cts)
+		s.cts, s.shared = cp, false
+	}
+	if found && s.cts[i].Budget != nil {
+		d.stochastic--
+	}
+	switch {
+	case remove:
+		s.cts = slices.Delete(s.cts, i, i+1)
+	case found:
+		s.cts[i] = ct
+	default:
+		s.cts = slices.Insert(s.cts, i, ct)
+	}
+	if !remove && ct.Budget != nil {
+		d.stochastic++
+	}
+	s.load = 0
+	for _, c := range s.cts {
+		s.load += c.CPUUsage
+	}
+	return true
 }
 
 // admittedSet reports whether a state counts into the admission view.
@@ -738,37 +795,19 @@ func (d *DRCR) noteTransitionLocked(c *Component, from, to State) {
 		return
 	}
 	name := c.desc.Name
-	var cpu int
 	if is {
-		ct := contractAt(c.desc, c.mode)
-		cpu = ct.CPU
-		// Append past the sorted prefix; the merge happens lazily at the
-		// next ordered read. Component names are unique in the admitted
-		// set, so the deferred sort lands the entry exactly where the
-		// immediate sorted insert would have.
-		d.admitted = append(d.admitted, &ct)
+		d.editContractLocked(contractAt(c.desc, c.mode), false)
 		if c.mode > 0 {
 			d.degraded = insertName(d.degraded, name)
 		}
 	} else {
-		d.flushAdmittedLocked()
-		i := sort.Search(len(d.admitted), func(i int) bool { return d.admitted[i].Name >= name })
-		if i >= len(d.admitted) || d.admitted[i].Name != name {
+		if !d.editContractLocked(policy.Contract{Name: name, CPU: c.desc.CPU()}, true) {
 			return // not tracked; nothing to withdraw
 		}
-		cpu = d.admitted[i].CPU
-		d.admitted = append(d.admitted[:i], d.admitted[i+1:]...)
-		d.admittedSorted = len(d.admitted)
 		if len(d.degraded) > 0 {
 			d.degraded = removeName(d.degraded, name)
 		}
 	}
-	// A membership change on one CPU leaves every other CPU's contract
-	// sequence untouched, so their name-order sums are bit-for-bit the
-	// ones a full rebuild would produce. Mark this CPU stale; the re-sum
-	// happens lazily at the next cpuLoad read (loadLocked), which folds a
-	// whole-bundle deploy's N re-sums into one.
-	d.markLoadDirtyLocked(cpu)
 	d.viewEpoch++
 	// Keep the provider index exactly the outports of the admitted set.
 	for _, out := range c.desc.OutPorts {
@@ -845,103 +884,6 @@ func removeName(ns []string, name string) []string {
 		return ns
 	}
 	return append(ns[:i], ns[i+1:]...)
-}
-
-// flushAdmittedLocked restores the full name-sort invariant on
-// d.admitted: the appended tail is sorted and merged into the sorted
-// prefix in one backward pass. Every ordered reader calls this first;
-// the call is a length comparison when nothing was appended. The merged
-// slice is element-for-element the one immediate sorted inserts would
-// have produced (names are unique), so every downstream ordered
-// computation — name-order load sums, view snapshots, reference scans —
-// is bit-for-bit unchanged.
-func (d *DRCR) flushAdmittedLocked() {
-	n := len(d.admitted)
-	if d.admittedSorted == n {
-		return
-	}
-	tail := d.admitted[d.admittedSorted:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].Name < tail[j].Name })
-	if d.admittedSorted > 0 && d.admitted[d.admittedSorted-1].Name > tail[0].Name {
-		tmp := append([]*policy.Contract(nil), tail...)
-		i, j, k := d.admittedSorted-1, len(tmp)-1, n-1
-		for j >= 0 {
-			if i >= 0 && d.admitted[i].Name > tmp[j].Name {
-				d.admitted[k] = d.admitted[i]
-				i--
-			} else {
-				d.admitted[k] = tmp[j]
-				j--
-			}
-			k--
-		}
-	}
-	d.admittedSorted = n
-}
-
-// recomputeLoadLocked refreshes the per-CPU budget accumulators from the
-// admitted set. It runs only when membership changes (not on every Resolve
-// iteration) and always sums in name order, so the totals are bit-for-bit
-// the ones a full rebuild would produce.
-func (d *DRCR) recomputeLoadLocked() {
-	d.flushAdmittedLocked()
-	if d.cpuLoad == nil {
-		d.cpuLoad = make([]float64, d.kernel.NumCPUs())
-	}
-	for i := range d.cpuLoad {
-		d.cpuLoad[i] = 0
-	}
-	for _, ct := range d.admitted {
-		if ct.CPU >= 0 && ct.CPU < len(d.cpuLoad) {
-			d.cpuLoad[ct.CPU] += ct.CPUUsage
-		}
-	}
-	for i := range d.loadDirty {
-		d.loadDirty[i] = false
-	}
-	d.loadDirtyAny = false
-}
-
-// markLoadDirtyLocked flags one CPU's accumulator stale after a
-// membership change there.
-func (d *DRCR) markLoadDirtyLocked(cpu int) {
-	if d.loadDirty == nil {
-		d.loadDirty = make([]bool, d.kernel.NumCPUs())
-	}
-	if cpu < 0 || cpu >= len(d.loadDirty) {
-		return
-	}
-	d.loadDirty[cpu] = true
-	d.loadDirtyAny = true
-}
-
-// loadLocked returns the per-CPU accumulators, re-summing any stale CPU
-// in admitted-name order first — bit-for-bit the totals a full rebuild
-// at every transition would have produced, without paying the rebuild
-// per transition.
-func (d *DRCR) loadLocked() []float64 {
-	if d.cpuLoad == nil {
-		d.cpuLoad = make([]float64, d.kernel.NumCPUs())
-	}
-	if !d.loadDirtyAny {
-		return d.cpuLoad
-	}
-	d.flushAdmittedLocked()
-	for i, dirty := range d.loadDirty {
-		if dirty {
-			d.cpuLoad[i] = 0
-		}
-	}
-	for _, ct := range d.admitted {
-		if ct.CPU >= 0 && ct.CPU < len(d.cpuLoad) && d.loadDirty[ct.CPU] {
-			d.cpuLoad[ct.CPU] += ct.CPUUsage
-		}
-	}
-	for i := range d.loadDirty {
-		d.loadDirty[i] = false
-	}
-	d.loadDirtyAny = false
-	return d.cpuLoad
 }
 
 func contractOf(desc *descriptor.Component) policy.Contract {

@@ -24,13 +24,8 @@ func (d *DRCR) resolveOnce() (changed bool) {
 	// One reference pass = one resolution round; the sweep has no staged
 	// worklists, so the depth arguments are zero.
 	d.obs.ResolveRound(d.kernel.Now(), 0, 0)
-	d.flushAdmittedLocked()
-	d.admittedScratch = d.admittedScratch[:0]
-	for _, ct := range d.admitted {
-		d.admittedScratch = append(d.admittedScratch, ct.Name)
-	}
-	for _, name := range d.admittedScratch {
-		c, ok := d.comps[name]
+	for _, ct := range d.viewLocked().Contracts() {
+		c, ok := d.comps[ct.Name]
 		if !ok || (c.state != Active && c.state != Suspended) {
 			continue
 		}
@@ -153,8 +148,7 @@ func (d *DRCR) unsatisfiedInportScanLocked(c *Component, mode int) string {
 // looking for a compatible outport — the scan the provider index
 // replaces.
 func (d *DRCR) findProviderScanLocked(self string, in descriptor.Port) string {
-	d.flushAdmittedLocked()
-	for _, ct := range d.admitted {
+	for _, ct := range d.viewLocked().Contracts() {
 		if ct.Name == self {
 			continue
 		}

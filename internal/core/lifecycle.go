@@ -544,8 +544,7 @@ func (d *DRCR) setStateImplLocked(c *Component, to State, reason string, trackWa
 
 func (d *DRCR) emitLocked(ev Event) {
 	d.events = append(d.events, ev)
-	ls := make([]func(Event), len(d.listeners))
-	copy(ls, d.listeners)
+	ls := d.listeners // copy-on-write: never mutated once read here
 	// Listeners run without the lock to allow callbacks into the DRCR.
 	d.mu.Unlock()
 	for _, l := range ls {

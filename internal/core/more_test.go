@@ -113,8 +113,8 @@ func TestAperiodicHasNoBudgetContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := d.GlobalView()
-	if len(view.Admitted) != 1 || view.Admitted[0].Period != 0 {
-		t.Fatalf("view = %+v", view.Admitted)
+	if len(view.Contracts()) != 1 || view.Contracts()[0].Period != 0 {
+		t.Fatalf("view = %+v", view.Contracts())
 	}
 	// Its declared usage still counts against the utilization bound —
 	// the budget is a promise regardless of release pattern.

@@ -317,11 +317,6 @@ func (d *DRCR) applyPlanLocked(p *plan.Plan, specs []rtos.TaskSpec, b *osgi.Bund
 		copy(grown, d.events)
 		d.events = grown
 	}
-	if need := len(d.admitted) + len(p.Schedule); cap(d.admitted) < need {
-		grown := make([]*policy.Contract, len(d.admitted), need)
-		copy(grown, d.admitted)
-		d.admitted = grown
-	}
 	if need := len(d.allNames) + n; cap(d.allNames) < need {
 		grown := make([]string, len(d.allNames), need)
 		copy(grown, d.allNames)

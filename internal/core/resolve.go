@@ -28,7 +28,9 @@ package core
 //     injector's flap resolver is), so a full Resolve always re-consults.
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/descriptor"
@@ -534,31 +536,27 @@ func (d *DRCR) promotePendingLocked(consult func(policy.View, policy.Contract) p
 
 // promotionViewLocked is the admission view with c's own current
 // contract withdrawn — what the world looks like if the component
-// released its degraded budget to claim a better mode.
+// released its degraded budget to claim a better mode. Only c's CPU
+// gets a fresh slice; every other CPU's is the snapshot's own.
 func (d *DRCR) promotionViewLocked(c *Component) policy.View {
 	base := d.viewLocked()
-	v := policy.View{NumCPUs: base.NumCPUs, Epoch: base.Epoch}
-	name := c.desc.Name
-	var self policy.Contract
-	if len(base.Admitted) > 1 {
-		v.Admitted = make([]policy.Contract, 0, len(base.Admitted)-1)
+	cpu := c.desc.CPU()
+	on := base.OnCPU(cpu)
+	i, found := slices.BinarySearchFunc(on, c.desc.Name, func(ct policy.Contract, name string) int {
+		return strings.Compare(ct.Name, name)
+	})
+	if !found {
+		return base
 	}
-	for _, ct := range base.Admitted {
-		if ct.Name == name {
-			self = ct
-			continue
-		}
-		if ct.Budget != nil {
-			v.Stochastic = true
-		}
-		v.Admitted = append(v.Admitted, ct)
-	}
-	v.CPULoad = make([]float64, len(base.CPULoad))
-	copy(v.CPULoad, base.CPULoad)
-	if self.CPU >= 0 && self.CPU < len(v.CPULoad) {
-		v.CPULoad[self.CPU] -= self.CPUUsage
-	}
-	return v
+	self := on[i]
+	per := d.shareCPUsLocked()
+	rest := slices.Concat(on[:i], on[i+1:])
+	per[cpu] = rest[:len(rest):len(rest)]
+	load := slices.Clone(base.CPULoad)
+	load[cpu] -= self.CPUUsage
+	// A degraded contract never carries a distribution (contractAt), so
+	// withdrawing it leaves Stochastic as it was.
+	return policy.SnapshotView(base.Epoch, per, load, base.Stochastic)
 }
 
 // findProviderLocked locates an admitted component whose outport can

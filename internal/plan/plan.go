@@ -29,6 +29,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -628,27 +629,26 @@ func (p *Plan) compileSchedule(members map[string]*member, names []string,
 }
 
 // compileAdmission dry-runs the internal utilization resolver over the
-// schedule, reproducing the runtime's arithmetic exactly: the per-CPU
-// accumulators are re-summed from scratch in admitted-name order after
-// every activation (recomputeLoadLocked's rule), so the partial sums —
-// and therefore every admit/deny verdict — are bit-for-bit the ones the
-// event path computes. Any denial routes the plan to the event path.
+// schedule, reproducing the runtime's arithmetic exactly: a CPU's
+// accumulator is re-summed from scratch in admitted-name order after
+// every activation that lands on it (the runtime's rule), so the partial
+// sums — and therefore every admit/deny verdict — are bit-for-bit the
+// ones the event path computes. Any denial routes the plan to the event
+// path.
 func (p *Plan) compileAdmission(members map[string]*member, env Env) {
-	admitted := make([]policy.Contract, len(env.View.Admitted))
-	copy(admitted, env.View.Admitted)
+	onCPU := make([][]policy.Contract, env.NumCPUs)
 	before := make([]float64, env.NumCPUs)
 	load := make([]float64, env.NumCPUs)
-	recompute := func() {
-		for i := range load {
-			load[i] = 0
-		}
-		for _, ct := range admitted {
-			if ct.CPU >= 0 && ct.CPU < len(load) {
-				load[ct.CPU] += ct.CPUUsage
-			}
+	resum := func(cpu int) {
+		load[cpu] = 0
+		for _, ct := range onCPU[cpu] {
+			load[cpu] += ct.CPUUsage
 		}
 	}
-	recompute()
+	for cpu := range onCPU {
+		onCPU[cpu] = env.View.OnCPU(cpu)
+		resum(cpu)
+	}
 	copy(before, load)
 
 	// Stochastic steps Monte-Carlo-sample the composed per-CPU load with
@@ -656,14 +656,6 @@ func (p *Plan) compileAdmission(members map[string]*member, env Env) {
 	// byte-identical to the runtime's. The flag tracks whether any
 	// distribution-valued contract is in play (view or schedule prefix).
 	stochastic := env.View.Stochastic
-	if !stochastic {
-		for _, ct := range env.View.Admitted {
-			if ct.Budget != nil {
-				stochastic = true
-				break
-			}
-		}
-	}
 	for _, name := range p.Schedule {
 		desc := members[name].desc
 		cpu := desc.CPU()
@@ -671,13 +663,7 @@ func (p *Plan) compileAdmission(members map[string]*member, env Env) {
 			Budget: desc.Budget, MetP: desc.BudgetP}
 		handled := false
 		if stochastic || cand.Budget != nil {
-			var onCPU []policy.Contract
-			for _, ct := range admitted {
-				if ct.CPU == cpu {
-					onCPU = append(onCPU, ct)
-				}
-			}
-			if v, ok := policy.MCVerdict(env.Bound, load[cpu], onCPU, cand); ok {
+			if v, ok := policy.MCVerdict(env.Bound, load[cpu], onCPU[cpu], cand); ok {
 				dec := v.Decision(cpu, env.Bound)
 				if cand.Budget != nil {
 					// Only budget-declaring members get an admit span at
@@ -701,11 +687,11 @@ func (p *Plan) compileAdmission(members map[string]*member, env Env) {
 		if cand.Budget != nil {
 			stochastic = true
 		}
-		i := sort.Search(len(admitted), func(i int) bool { return admitted[i].Name >= name })
-		admitted = append(admitted, policy.Contract{})
-		copy(admitted[i+1:], admitted[i:])
-		admitted[i] = cand
-		recompute()
+		// The view's slices carry no spare capacity, so the first insert
+		// on a CPU copies it and the view stays untouched.
+		i := sort.Search(len(onCPU[cpu]), func(i int) bool { return onCPU[cpu][i].Name >= name })
+		onCPU[cpu] = slices.Insert(onCPU[cpu], i, cand)
+		resum(cpu)
 	}
 	for cpu := 0; cpu < env.NumCPUs; cpu++ {
 		if load[cpu] != before[cpu] {
@@ -755,6 +741,25 @@ func (p *Plan) compileEdges(members map[string]*member, names []string,
 	for _, n := range p.Schedule {
 		scheduled[n] = true
 	}
+	// One outport index over the scheduled members, in name order then
+	// declared order: exactly the sequence a scan of every member's
+	// outports per inport would visit, built once.
+	type cand struct {
+		origin string
+		port   descriptor.Port
+		ext    bool
+	}
+	outIdx := map[portKey][]cand{}
+	for _, pn := range names {
+		if !scheduled[pn] {
+			continue
+		}
+		for _, out := range members[pn].desc.OutPorts {
+			k := keyOf(out)
+			outIdx[k] = append(outIdx[k], cand{pn, out, false})
+		}
+	}
+	var cands []cand
 	for _, name := range names {
 		m := members[name]
 		if !m.enabled {
@@ -771,20 +776,10 @@ func (p *Plan) compileEdges(members map[string]*member, names []string,
 			k := keyOf(in)
 			// Merge plan members and external local providers in name
 			// order, mirroring the admitted-set scan.
-			type cand struct {
-				origin string
-				port   descriptor.Port
-				ext    bool
-			}
-			var cands []cand
-			for _, pn := range names {
-				if pn == name || !scheduled[pn] {
-					continue
-				}
-				for _, out := range members[pn].desc.OutPorts {
-					if keyOf(out) == k {
-						cands = append(cands, cand{pn, out, false})
-					}
+			cands = cands[:0]
+			for _, c := range outIdx[k] {
+				if c.origin != name {
+					cands = append(cands, c)
 				}
 			}
 			for _, ep := range extLocal[k] {
@@ -829,45 +824,26 @@ func (p *Plan) AdmitDryRun(view policy.View, numCPUs int, bound float64) string 
 	// time decides admission by Monte-Carlo sampling, not the constant
 	// sums below; the event path must run so its verdicts (and admit
 	// spans) are the ones recorded.
-	stochastic := view.Stochastic
-	if !stochastic {
-		for _, ct := range view.Admitted {
-			if ct.Budget != nil {
-				stochastic = true
-				break
-			}
-		}
-	}
-	if stochastic {
+	if view.Stochastic {
 		return "admitted view carries stochastic budgets: the event path decides admission"
 	}
 	byName := map[string]*descriptor.Component{}
 	for _, d := range p.Components {
 		byName[d.Name] = d
 	}
-	// The engine re-sums every CPU's load from scratch, in admitted-name
-	// order, after each admission (recomputeLoadLocked); the dry-run must
-	// reproduce those float sums bit for bit. Keeping one name-ordered
-	// usage list per CPU preserves exactly that addition order while
-	// re-summing only the CPU an admission lands on — an insert on cpu c
-	// cannot change any other CPU's element sequence.
-	names := make([][]string, numCPUs)
-	usages := make([][]float64, numCPUs)
+	// The engine re-sums a CPU's load from scratch, in admitted-name
+	// order, after each admission there; the dry-run must reproduce those
+	// float sums bit for bit, so it keeps each CPU's name-ordered list.
+	onCPU := make([][]policy.Contract, numCPUs)
 	load := make([]float64, numCPUs)
-	for _, ct := range view.Admitted {
-		if ct.CPU >= 0 && ct.CPU < numCPUs {
-			names[ct.CPU] = append(names[ct.CPU], ct.Name)
-			usages[ct.CPU] = append(usages[ct.CPU], ct.CPUUsage)
-		}
-	}
 	resum := func(cpu int) {
-		s := 0.0
-		for _, u := range usages[cpu] {
-			s += u
+		load[cpu] = 0
+		for _, ct := range onCPU[cpu] {
+			load[cpu] += ct.CPUUsage
 		}
-		load[cpu] = s
 	}
-	for cpu := range load {
+	for cpu := range onCPU {
+		onCPU[cpu] = view.OnCPU(cpu)
 		resum(cpu)
 	}
 	for _, name := range p.Schedule {
@@ -880,13 +856,8 @@ func (p *Plan) AdmitDryRun(view policy.View, numCPUs int, bound float64) string 
 			return fmt.Sprintf("component %q would be denied at mode 0 (cpu%d budget %.3f exceeds bound %.3f)",
 				name, cpu, sum, bound)
 		}
-		i := sort.SearchStrings(names[cpu], name)
-		names[cpu] = append(names[cpu], "")
-		copy(names[cpu][i+1:], names[cpu][i:])
-		names[cpu][i] = name
-		usages[cpu] = append(usages[cpu], 0)
-		copy(usages[cpu][i+1:], usages[cpu][i:])
-		usages[cpu][i] = desc.CPUUsage
+		i := sort.Search(len(onCPU[cpu]), func(i int) bool { return onCPU[cpu][i].Name >= name })
+		onCPU[cpu] = slices.Insert(onCPU[cpu], i, policy.Contract{Name: name, CPU: cpu, CPUUsage: desc.CPUUsage})
 		resum(cpu)
 	}
 	return ""

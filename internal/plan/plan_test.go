@@ -238,9 +238,9 @@ func TestAdmitDryRunMovedView(t *testing.T) {
 	if why := p.AdmitDryRun(free, 2, 1.0); why != "" {
 		t.Fatalf("dry-run against free view: %s", why)
 	}
-	busy := policy.View{NumCPUs: 2, Admitted: []policy.Contract{
+	busy := policy.NewView(2, []policy.Contract{
 		{Name: "big", CPU: 0, CPUUsage: 0.8},
-	}}
+	})
 	if why := p.AdmitDryRun(busy, 2, 1.0); !strings.Contains(why, "denied") {
 		t.Fatalf("dry-run against busy view = %q, want denial", why)
 	}

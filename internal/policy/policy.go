@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -54,34 +55,123 @@ func (c Contract) Cost() time.Duration {
 
 // View is the global system picture a resolving service reasons over: the
 // DRCR's accurate global view of promised contracts (§2.2).
+//
+// A View is a read-only snapshot shared by value: its per-CPU contract
+// slices, CPULoad and the flat list Contracts returns belong to every
+// holder of the same snapshot and to its producer, so no holder may write
+// through them (appending is safe: the slices carry no spare capacity).
+// The flat list is merged from the per-CPU slices lazily, at most once
+// per snapshot and only when someone asks for it; OnCPU and Load never
+// build it. Producers construct views through NewView or SnapshotView;
+// a View literal carries no contracts.
 type View struct {
-	NumCPUs  int
-	Admitted []Contract
+	NumCPUs int
 	// Epoch counts admitted-set membership changes at the view's producer.
 	// Two views with equal epochs from the same producer describe the same
 	// admitted set, so consumers may reuse decisions derived from one.
 	Epoch uint64
-	// CPULoad, when non-nil, is the summed declared budget per processor
-	// over Admitted, maintained incrementally by the view's producer so
-	// resolvers need not rescan the contract list. Producers that do not
-	// track it leave it nil and resolvers fall back to summing Admitted.
+	// CPULoad, when non-nil, is the summed declared budget per processor,
+	// maintained incrementally by the view's producer so resolvers need
+	// not rescan the contracts. Producers that do not track it leave it
+	// nil and Load falls back to summing OnCPU.
 	CPULoad []float64
 	// Stochastic is set by producers whose admitted set may contain
 	// distribution-valued budgets. When false and the candidate carries
 	// none, Utilization takes the constant-budget fast path without
-	// scanning Admitted.
+	// reading any contract.
 	Stochastic bool
+
+	// perCPU holds each processor's admitted contracts, name-sorted for
+	// SnapshotView views, in the given order for NewView ones.
+	perCPU [][]Contract
+	// flat is the lazily merged list, shared by every copy of the view.
+	flat *flatList
 }
 
-// OnCPU returns the admitted contracts pinned to the given processor.
-func (v View) OnCPU(cpuID int) []Contract {
-	var out []Contract
-	for _, c := range v.Admitted {
-		if c.CPU == cpuID {
-			out = append(out, c)
+// flatList is a view's whole contract list, built at most once.
+type flatList struct {
+	once sync.Once
+	list []Contract
+}
+
+// NewView builds a view over an explicit contract list, for hand-built
+// views (tests, offline policy comparisons). Contracts keeps the given
+// order and OnCPU filters it; Stochastic is set when any contract
+// carries a distribution-valued budget, and CPULoad stays nil. The view
+// shares admitted: the caller must not modify it afterwards.
+func NewView(numCPUs int, admitted []Contract) View {
+	n := numCPUs
+	for _, c := range admitted {
+		if c.CPU >= n {
+			n = c.CPU + 1
 		}
 	}
+	v := View{NumCPUs: numCPUs, perCPU: make([][]Contract, n), flat: &flatList{}}
+	for _, c := range admitted {
+		if c.CPU >= 0 {
+			v.perCPU[c.CPU] = append(v.perCPU[c.CPU], c)
+		}
+		if c.Budget != nil {
+			v.Stochastic = true
+		}
+	}
+	for i, s := range v.perCPU {
+		v.perCPU[i] = s[:len(s):len(s)]
+	}
+	v.flat.once.Do(func() { v.flat.list = admitted[:len(admitted):len(admitted)] })
+	return v
+}
+
+// SnapshotView assembles a producer's snapshot from per-CPU name-sorted
+// contract slices (index = CPU) and their summed budgets. Nothing is
+// copied: the producer must never write to the slices it hands over.
+func SnapshotView(epoch uint64, perCPU [][]Contract, cpuLoad []float64, stochastic bool) View {
+	return View{NumCPUs: len(perCPU), Epoch: epoch, CPULoad: cpuLoad, Stochastic: stochastic,
+		perCPU: perCPU, flat: &flatList{}}
+}
+
+// Contracts returns every contract in the view: name-sorted for
+// SnapshotView views, in the given order for NewView ones. The list is
+// merged on the first call and shared by every later one.
+func (v View) Contracts() []Contract {
+	if v.flat == nil {
+		return nil
+	}
+	v.flat.once.Do(func() { v.flat.list = mergeByName(v.perCPU) })
+	return v.flat.list
+}
+
+// mergeByName merges name-sorted per-CPU lists into one name-sorted list.
+func mergeByName(perCPU [][]Contract) []Contract {
+	n := 0
+	for _, s := range perCPU {
+		n += len(s)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Contract, 0, n)
+	next := make([]int, len(perCPU))
+	for len(out) < n {
+		best := -1
+		for c, s := range perCPU {
+			if next[c] < len(s) && (best < 0 || s[next[c]].Name < perCPU[best][next[best]].Name) {
+				best = c
+			}
+		}
+		out = append(out, perCPU[best][next[best]])
+		next[best]++
+	}
 	return out
+}
+
+// OnCPU returns the admitted contracts pinned to the given processor. The
+// slice is the view's own: read it, or append to it, but never write it.
+func (v View) OnCPU(cpuID int) []Contract {
+	if cpuID < 0 || cpuID >= len(v.perCPU) {
+		return nil
+	}
+	return v.perCPU[cpuID]
 }
 
 // Load returns the summed declared budget on the given processor, using
@@ -91,10 +181,8 @@ func (v View) Load(cpuID int) float64 {
 		return v.CPULoad[cpuID]
 	}
 	var sum float64
-	for _, c := range v.Admitted {
-		if c.CPU == cpuID {
-			sum += c.CPUUsage
-		}
+	for _, c := range v.OnCPU(cpuID) {
+		sum += c.CPUUsage
 	}
 	return sum
 }
@@ -124,7 +212,7 @@ func deny(format string, args ...any) Decision {
 type Resolver interface {
 	// Name identifies the policy in logs and service properties.
 	Name() string
-	// Admit decides whether cand fits alongside view.Admitted.
+	// Admit decides whether cand fits alongside view's contracts.
 	Admit(view View, cand Contract) Decision
 }
 

@@ -24,11 +24,11 @@ func TestContractCost(t *testing.T) {
 }
 
 func TestViewOnCPU(t *testing.T) {
-	v := View{NumCPUs: 2, Admitted: []Contract{
+	v := NewView(2, []Contract{
 		ct("a", 0, 1, 0.1, time.Second),
 		ct("b", 1, 1, 0.2, time.Second),
 		ct("c", 0, 2, 0.3, time.Second),
-	}}
+	})
 	if got := len(v.OnCPU(0)); got != 2 {
 		t.Fatalf("OnCPU(0) = %d", got)
 	}
@@ -42,9 +42,9 @@ func TestViewOnCPU(t *testing.T) {
 
 func TestUtilizationAdmission(t *testing.T) {
 	u := Utilization{} // default bound 1.0
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("a", 0, 1, 0.5, time.Second),
-	}}
+	})
 	if d := u.Admit(view, ct("b", 0, 2, 0.4, time.Second)); !d.Admit {
 		t.Fatalf("0.9 total denied: %s", d.Reason)
 	}
@@ -59,9 +59,9 @@ func TestUtilizationAdmission(t *testing.T) {
 
 func TestUtilizationPerCPU(t *testing.T) {
 	u := Utilization{}
-	view := View{NumCPUs: 2, Admitted: []Contract{
+	view := NewView(2, []Contract{
 		ct("a", 0, 1, 0.9, time.Second),
-	}}
+	})
 	// CPU 1 is free even though CPU 0 is nearly full.
 	if d := u.Admit(view, ct("b", 1, 1, 0.9, time.Second)); !d.Admit {
 		t.Fatalf("other CPU denied: %s", d.Reason)
@@ -86,10 +86,10 @@ func TestRMAClassicSchedulableSet(t *testing.T) {
 	// Liu & Layland classic: three tasks, U = 0.2+0.2+0.2 = 0.6 — trivially
 	// schedulable under RMA.
 	r := RMA{}
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("t1", 0, 1, 0.2, 10*time.Millisecond),
 		ct("t2", 0, 2, 0.2, 20*time.Millisecond),
-	}}
+	})
 	if d := r.Admit(view, ct("t3", 0, 3, 0.2, 50*time.Millisecond)); !d.Admit {
 		t.Fatalf("schedulable set denied: %s", d.Reason)
 	}
@@ -98,9 +98,9 @@ func TestRMAClassicSchedulableSet(t *testing.T) {
 func TestRMAUnschedulableSet(t *testing.T) {
 	// Total utilization 1.1 on one CPU can never be schedulable.
 	r := RMA{}
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("t1", 0, 1, 0.6, 10*time.Millisecond),
-	}}
+	})
 	if d := r.Admit(view, ct("t2", 0, 2, 0.5, 14*time.Millisecond)); d.Admit {
 		t.Fatalf("overloaded set admitted: %s", d.Reason)
 	}
@@ -111,9 +111,9 @@ func TestRMATightButSchedulable(t *testing.T) {
 	// proves it schedulable: C1=2,T1=4 (prio 1); C2=2,T2=6 (prio 2).
 	// R2 = 2 + ceil(R2/4)*2 → R2 = 6 ≤ 6.
 	r := RMA{}
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("t1", 0, 1, 0.5, 4*time.Millisecond),
-	}}
+	})
 	d := r.Admit(view, ct("t2", 0, 2, 2.0/6.0, 6*time.Millisecond))
 	if !d.Admit {
 		t.Fatalf("exact-analysis schedulable set denied: %s", d.Reason)
@@ -126,9 +126,9 @@ func TestRMARespectsDeclaredPriorityNotRate(t *testing.T) {
 	// prio 2. R_short = 2 + 5 = 7 > 4 → unschedulable with these
 	// priorities (rate-monotonic assignment would have worked).
 	r := RMA{}
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("long", 0, 1, 0.5, 10*time.Millisecond),
-	}}
+	})
 	if d := r.Admit(view, ct("short", 0, 2, 0.5, 4*time.Millisecond)); d.Admit {
 		t.Fatalf("declared-priority inversion admitted: %s", d.Reason)
 	}
@@ -136,10 +136,10 @@ func TestRMARespectsDeclaredPriorityNotRate(t *testing.T) {
 
 func TestRMAIgnoresAperiodicAndOtherCPUs(t *testing.T) {
 	r := RMA{}
-	view := View{NumCPUs: 2, Admitted: []Contract{
+	view := NewView(2, []Contract{
 		ct("ap", 0, 0, 0, 0),                        // aperiodic: no cost
 		ct("other", 1, 0, 0.9, 10*time.Millisecond), // other CPU
-	}}
+	})
 	if d := r.Admit(view, ct("t", 0, 1, 0.9, 10*time.Millisecond)); !d.Admit {
 		t.Fatalf("denied: %s", d.Reason)
 	}
@@ -147,9 +147,9 @@ func TestRMAIgnoresAperiodicAndOtherCPUs(t *testing.T) {
 
 func TestEDFDensityBound(t *testing.T) {
 	e := EDF{}
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("a", 0, 1, 0.6, 10*time.Millisecond),
-	}}
+	})
 	// EDF admits up to density exactly 1 (where RMA's fixed priorities may
 	// fail).
 	if d := e.Admit(view, ct("b", 0, 2, 0.4, 7*time.Millisecond)); !d.Admit {
@@ -163,9 +163,9 @@ func TestEDFDensityBound(t *testing.T) {
 func TestEDFAdmitsWhereRMADenies(t *testing.T) {
 	// U = 1.0 with fixed priorities fails exact RMA analysis here, but EDF
 	// admits: the crossover the resolver ablation bench demonstrates.
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("t1", 0, 1, 0.5, 4*time.Millisecond),
-	}}
+	})
 	cand := ct("t2", 0, 2, 0.5, 6*time.Millisecond)
 	if d := (RMA{}).Admit(view, cand); d.Admit {
 		t.Fatalf("RMA admitted density-1.0 set: %s", d.Reason)
@@ -227,7 +227,8 @@ func TestStaticAndFunc(t *testing.T) {
 // utilization-1.0 equals EDF on identical inputs.
 func TestResolverDominanceProperty(t *testing.T) {
 	prop := func(us [4]uint8, ps [4]uint8) bool {
-		view := View{NumCPUs: 1}
+		view := NewView(1, nil)
+		var admitted []Contract
 		var cands []Contract
 		for i := 0; i < 4; i++ {
 			u := float64(us[i]%60) / 100 // 0..0.59
@@ -243,7 +244,8 @@ func TestResolverDominanceProperty(t *testing.T) {
 				return false // FP-schedulable implies density ≤ 1
 			}
 			if rmaOK && edfOK {
-				view.Admitted = append(view.Admitted, c)
+				admitted = append(admitted, c)
+				view = NewView(1, admitted)
 			}
 		}
 		return true

@@ -99,7 +99,7 @@ func TestSampleDeterministic(t *testing.T) {
 func TestUtilizationLegacyPathUnchanged(t *testing.T) {
 	// Without distributions the verdict and the reason string must be
 	// exactly the pre-stochastic ones (deny spans pin these strings).
-	view := View{NumCPUs: 1, Admitted: []Contract{{Name: "a", CPU: 0, CPUUsage: 0.6}}}
+	view := NewView(1, []Contract{{Name: "a", CPU: 0, CPUUsage: 0.6}})
 	view.CPULoad = []float64{0.6}
 	u := Utilization{}
 	d := u.Admit(view, Contract{Name: "b", CPU: 0, CPUUsage: 0.3})
@@ -118,7 +118,7 @@ func TestStochasticAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := Utilization{}
-	view := View{NumCPUs: 1, Admitted: []Contract{{Name: "a", CPU: 0, CPUUsage: 0.5}}, Stochastic: true}
+	view := stochasticView(NewView(1, []Contract{{Name: "a", CPU: 0, CPUUsage: 0.5}}))
 
 	// Plenty of headroom: 0.5 + N(0.3, 0.02) ≤ 1.0 essentially always.
 	cand := Contract{Name: "b", CPU: 0, CPUUsage: 0.3, Budget: dist, MetP: 0.99}
@@ -133,7 +133,7 @@ func TestStochasticAdmission(t *testing.T) {
 	// The same distribution against a nearly full CPU: mean load 1.1,
 	// P(met) ~ 0 — must deny even though a mean-based test would too,
 	// and the reason must carry the probabilities.
-	full := View{NumCPUs: 1, Admitted: []Contract{{Name: "a", CPU: 0, CPUUsage: 0.8}}, Stochastic: true}
+	full := stochasticView(NewView(1, []Contract{{Name: "a", CPU: 0, CPUUsage: 0.8}}))
 	d = u.Admit(full, cand)
 	if d.Admit {
 		t.Fatalf("want deny at mean load 1.1, got %+v", d)
@@ -146,7 +146,7 @@ func TestStochasticAdmission(t *testing.T) {
 	// deny a constant 0.3 budget at bound 1.0 with eps, but N(0.25,0.02)
 	// declared with nominal 0.3 clears p=0.95 because the actual draw is
 	// almost always under 0.28.
-	tight := View{NumCPUs: 1, Admitted: []Contract{{Name: "a", CPU: 0, CPUUsage: 0.71}}, Stochastic: true}
+	tight := stochasticView(NewView(1, []Contract{{Name: "a", CPU: 0, CPUUsage: 0.71}}))
 	lean, _ := ParseDist("normal(0.25,0.01)")
 	d = u.Admit(tight, Contract{Name: "b", CPU: 0, CPUUsage: 0.3, Budget: lean, MetP: 0.95})
 	if !d.Admit {
@@ -176,4 +176,11 @@ func TestStochasticVerdictDeterministic(t *testing.T) {
 	if _, ok := MCVerdict(1.0, 0.2, []Contract{{Name: "x", CPU: 0, CPUUsage: 0.2}}, Contract{Name: "y", CPU: 0, CPUUsage: 0.1}); ok {
 		t.Fatal("MCVerdict should report not-stochastic without distributions")
 	}
+}
+
+// stochasticView marks a hand-built view as one whose producer may hold
+// distribution-valued budgets.
+func stochasticView(v View) View {
+	v.Stochastic = true
+	return v
 }

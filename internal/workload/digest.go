@@ -164,8 +164,8 @@ func RunCameraDigest(seed uint64, runFor time.Duration) (CameraDigest, error) {
 			int64(ev.At), ev.Component, ev.From, ev.To, ev.Reason)
 	}
 	view := d.GlobalView()
-	fmt.Fprintf(&mb, "view cpus=%d admitted=%d\n", view.NumCPUs, len(view.Admitted))
-	for _, c := range view.Admitted {
+	fmt.Fprintf(&mb, "view cpus=%d admitted=%d\n", view.NumCPUs, len(view.Contracts()))
+	for _, c := range view.Contracts() {
 		fmt.Fprintf(&mb, "contract %s cpu=%d prio=%d usage=%.4f period=%v\n",
 			c.Name, c.CPU, c.Priority, c.CPUUsage, c.Period)
 	}
